@@ -35,11 +35,11 @@
 //! [`BacktrackingEngine`]: crate::engine::BacktrackingEngine
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_data::{
-    CompletionKey, Constant, DataError, Database, Grounding, IncompleteDatabase, PageHeap,
+    CompletionKey, Constant, DataError, Database, Grounding, IncompleteDatabase, KeyPlan, PageHeap,
 };
 use incdb_query::{BooleanQuery, PartialOutcome, ResidualState};
 
@@ -89,8 +89,7 @@ pub trait CompletionVisitor {
     /// which every remaining unbound null is separable
     /// ([`SearchSession::separation_cut`]). At such a node the non-clean
     /// ("dirty") facts are fully resolved, so their partial fingerprint
-    /// ([`Grounding::partial_fingerprint_into`] over
-    /// [`SearchSession::class_facts`]) canonically names the node's
+    /// ([`SearchSession::class_hasher`]) canonically names the node's
     /// **completion class**: all leaves below share that dirty part, and
     /// distinct separable assignments below it induce distinct completions.
     /// `decided` reports whether an ancestor already proved the query
@@ -511,6 +510,10 @@ struct SessionPlan {
     /// (ground template facts included, so a dirty fact resolving onto a
     /// ground fact dedups inside the class key).
     class_facts: Vec<bool>,
+    /// The [`KeyPlan`] of `class_facts`, built at the first class node a
+    /// [`ClassHasher`] hashes: building it sorts every ground class fact,
+    /// which a walk refuted above the cut never needs.
+    class_key_plan: OnceLock<KeyPlan>,
 }
 
 impl SessionPlan {
@@ -541,7 +544,29 @@ impl SessionPlan {
             hint,
             sep_cut,
             class_facts,
+            class_key_plan: OnceLock::new(),
         }
+    }
+}
+
+/// Names completion classes at the separation cut: the partial fingerprint
+/// of the non-clean facts, merged through a [`KeyPlan`] built on first use
+/// and cached on the session's plan — shared by forks, and re-derived with
+/// the plan by [`advance_to`](SearchSession::advance_to).
+#[derive(Clone)]
+pub struct ClassHasher(Arc<SessionPlan>);
+
+impl ClassHasher {
+    /// Writes the class fingerprint of `g` (the grounding of this hasher's
+    /// session or of a fork of it) into `key` and returns its
+    /// [`fingerprint_hash`](incdb_data::fingerprint_hash); an error names
+    /// an unbound null when called above the separation cut.
+    pub fn hash(&self, g: &Grounding, key: &mut CompletionKey) -> Result<u64, DataError> {
+        let plan = &self.0;
+        let keys = plan
+            .class_key_plan
+            .get_or_init(|| g.partial_key_plan(&plan.class_facts));
+        g.partial_hash_with(keys, key)
     }
 }
 
@@ -688,11 +713,10 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
         self.plan.sep_cut
     }
 
-    /// Per-fact include mask of the non-clean facts — the
-    /// [`Grounding::partial_fingerprint_into`] mask that canonically names
-    /// a completion class at the separation cut.
-    pub fn class_facts(&self) -> &[bool] {
-        &self.plan.class_facts
+    /// The [`ClassHasher`] that canonically names a completion class at
+    /// the separation cut.
+    pub fn class_hasher(&self) -> ClassHasher {
+        ClassHasher(Arc::clone(&self.plan))
     }
 
     /// Returns the session to its root state — every null unbound, the
@@ -1464,7 +1488,7 @@ mod tests {
     /// dirty-part fingerprints memoised exactly, class subtrees credited
     /// through `class_counted`.
     struct ClassCounter {
-        class_facts: Vec<bool>,
+        hasher: ClassHasher,
         seen: HashSet<CompletionKey>,
         scratch: CompletionKey,
         total: BigNat,
@@ -1476,7 +1500,8 @@ mod tests {
             panic!("a counting class visitor never descends to leaves");
         }
         fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-            g.partial_fingerprint_into(&self.class_facts, &mut self.scratch)
+            self.hasher
+                .hash(g, &mut self.scratch)
                 .expect("dirty facts are resolved at the cut");
             if self.seen.contains(&self.scratch) {
                 return ClassAction::Skip;
@@ -1509,7 +1534,7 @@ mod tests {
                 keys: &mut reference,
             });
             let mut counter = ClassCounter {
-                class_facts: session.class_facts().to_vec(),
+                hasher: session.class_hasher(),
                 seen: HashSet::new(),
                 scratch: CompletionKey::new(),
                 total: BigNat::zero(),

@@ -30,8 +30,7 @@
 //! front-end over it: batches of [`Request`]s (counts, pages, cursor
 //! resumes, writes) fan out across workers, each reply carrying
 //! [`RequestMetrics`] (queue wait, walk time, built-vs-patched-vs-reused)
-//! and each tenant held to its own
-//! [`StreamOptions`](incdb_stream::StreamOptions) fingerprint budget.
+//! and each tenant held to its own fingerprint budget ([`Tenant`]).
 //!
 //! ## Example
 //!

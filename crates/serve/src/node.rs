@@ -12,13 +12,17 @@
 //! shelves. Every reply carries [`RequestMetrics`]: queue wait, walk time,
 //! and whether the pool had to build a session.
 //!
-//! Memory discipline is per tenant: a [`Tenant`]'s
-//! [`StreamOptions::fingerprint_budget`] clamps the page size of every
-//! walk serving it — pages and counting drains alike stay within
-//! `O(budget)` resident fingerprints, the serving-layer face of the
-//! streaming subsystem's memory-vs-passes trade-off.
+//! A request that panics is answered with [`Outcome::Error`]; its lease
+//! is dropped, never shelved, and the rest of the batch is served.
+//!
+//! Memory discipline is per tenant: a [`Tenant`]'s fingerprint budget and
+//! page ceiling bound the resident keys of every walk serving it — the
+//! keys of a page, and the class keys of a count's single walk
+//! ([`count_session`]) — the serving-layer face of the streaming
+//! subsystem's memory-vs-passes trade-off.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, RwLock};
 use std::thread;
 use std::time::Instant;
@@ -27,7 +31,7 @@ use incdb_bignum::BigNat;
 use incdb_data::{CompletionKey, IncompleteDatabase, PageHeap, Value};
 use incdb_query::BooleanQuery;
 use incdb_stream::stream::page_from_session;
-use incdb_stream::{Cursor, StreamOptions};
+use incdb_stream::{count_session, Cursor};
 
 use crate::pool::{MaintenancePolicy, SessionPool};
 
@@ -36,12 +40,12 @@ use crate::pool::{MaintenancePolicy, SessionPool};
 pub struct Tenant {
     /// Display name, echoed in errors.
     pub name: String,
-    /// The tenant's streaming options. `fingerprint_budget` bounds the
-    /// resident fingerprints of any walk run on this tenant's behalf by
-    /// clamping page sizes; `threads` is not consulted here — the node's
-    /// thread-per-core front-end supplies the parallelism.
-    pub options: StreamOptions,
-    /// Hard page-size ceiling, applied after the budget clamp.
+    /// Maximum resident fingerprints of any walk run on this tenant's
+    /// behalf: it clamps page sizes, and bounds the class keys a count's
+    /// walk holds at once. `None` leaves only `max_page_size`.
+    pub fingerprint_budget: Option<usize>,
+    /// Hard page-size ceiling, applied after the budget clamp; also the
+    /// resident-key bound of counts when there is no budget.
     pub max_page_size: usize,
 }
 
@@ -50,14 +54,14 @@ impl Tenant {
     pub fn new(name: impl Into<String>, max_page_size: usize) -> Tenant {
         Tenant {
             name: name.into(),
-            options: StreamOptions::default(),
+            fingerprint_budget: None,
             max_page_size: max_page_size.max(1),
         }
     }
 
     /// Builder-style fingerprint budget.
     pub fn with_budget(mut self, budget: usize) -> Tenant {
-        self.options.fingerprint_budget = Some(budget.max(1));
+        self.fingerprint_budget = Some(budget.max(1));
         self
     }
 
@@ -66,7 +70,7 @@ impl Tenant {
     /// budget.
     pub fn clamp_page(&self, requested: usize) -> usize {
         let mut page = requested.clamp(1, self.max_page_size);
-        if let Some(budget) = self.options.fingerprint_budget {
+        if let Some(budget) = self.fingerprint_budget {
             page = page.min(budget.max(1));
         }
         page
@@ -79,9 +83,10 @@ impl Tenant {
 /// for as long as the node lives.
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// How many distinct completions satisfy the query? Served by paging
-    /// the canonical order on a pooled session, so resident memory stays
-    /// within the tenant's clamp whatever the true count is.
+    /// How many distinct completions satisfy the query? Served by one
+    /// budgeted counting walk ([`count_session`]) on a pooled session; the
+    /// tenant's clamp ([`Tenant::clamp_page`] of its page ceiling) bounds
+    /// the class keys resident at once, whatever the true count is.
     Count { tenant: usize, query: usize },
     /// The first `page_size` completions in canonical order.
     Page {
@@ -129,7 +134,7 @@ pub enum Outcome {
 pub struct RequestMetrics {
     /// Nanoseconds between enqueue and a worker picking the request up.
     pub queue_wait_ns: u64,
-    /// Nanoseconds spent walking (page fills, counting drains); zero for
+    /// Nanoseconds spent walking (page fills, counting walks); zero for
     /// writes and errors.
     pub walk_ns: u64,
     /// Nanoseconds from a worker picking the request up to its reply being
@@ -246,7 +251,19 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
                             break;
                         };
                         let queue_wait_ns = enqueued.elapsed().as_nanos() as u64;
-                        let reply = self.handle(idx, request, queue_wait_ns, &mut heap);
+                        // A panicking request unwinds out of `handle`,
+                        // dropping its lease unshelved; the batch goes on.
+                        let reply = catch_unwind(AssertUnwindSafe(|| {
+                            self.handle(idx, request, queue_wait_ns, &mut heap)
+                        }))
+                        .unwrap_or_else(|_| Reply {
+                            request: idx,
+                            outcome: Outcome::Error(format!("request {idx}: panicked")),
+                            metrics: RequestMetrics {
+                                queue_wait_ns,
+                                ..RequestMetrics::default()
+                            },
+                        });
                         replies.lock().expect("reply lock poisoned").push(reply);
                     }
                 });
@@ -277,19 +294,11 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
                     metrics.checkout_ns = checkout_ns;
                     metrics.session_built = !lease.was_reused();
                     metrics.session_patched = lease.was_patched();
-                    let page = t.clamp_page(t.max_page_size);
+                    let budget = t.clamp_page(t.max_page_size);
                     let started = Instant::now();
-                    let mut cursor = Cursor::start();
-                    let mut count = 0u64;
-                    loop {
-                        cursor = page_from_session(&mut lease.session, &cursor, page, heap);
-                        count += heap.len() as u64;
-                        if heap.len() < page {
-                            break;
-                        }
-                    }
+                    let counted = count_session(&mut lease.session, Some(budget), 1);
                     metrics.walk_ns = started.elapsed().as_nanos() as u64;
-                    Outcome::Count(BigNat::from(count))
+                    Outcome::Count(counted.count)
                 })
             }
             Request::Page {

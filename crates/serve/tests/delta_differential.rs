@@ -8,7 +8,11 @@
 //! [`MaintenancePolicy::PatchForward`]. Every pooled answer is compared
 //! against a fresh session built from the current database; cursors are
 //! round-tripped through the wire format and resumed across write
-//! epochs. Two injected events force the "gap too wide, rebuild"
+//! epochs. Distinct-completion counts run the budgeted counter (`count_session`) on
+//! the patched lease against a fresh build, and one injected ground insert
+//! unifies with a null-hosting fact, turning a clean fact dirty under
+//! sessions whose class key plan is already cached. Two injected events
+//! force the "gap too wide, rebuild"
 //! fallback — a write burst that overflows the bounded delta log, and a
 //! new-relation barrier — so the suite pins both maintenance paths, and
 //! under `debug_assertions` every successful patch is additionally
@@ -19,7 +23,7 @@ use incdb_core::engine::BacktrackingEngine;
 use incdb_data::{CompletionKey, IncompleteDatabase, PageHeap, Value, DELTA_LOG_CAP};
 use incdb_query::Bcq;
 use incdb_serve::{MaintenancePolicy, SessionPool};
-use incdb_stream::{page_from_session, Cursor};
+use incdb_stream::{count_completions_budgeted, count_session, page_from_session, Cursor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -92,6 +96,24 @@ fn patched_sessions_are_byte_identical_to_fresh_builds() {
             80 => {
                 db.add_fact("Z", vec![Value::constant(7)]).unwrap();
             }
+            // Injected event: `R(1, 2)` unifies with the null-hosting
+            // `R(⊥0, 2)`, so that fact stops being clean and the class
+            // facts change. Every shelf first counts once, caching its
+            // class key plan, so the patch must replace a cached plan.
+            60 => {
+                for q in &queries {
+                    let mut lease = pool.check_out(&db, q).unwrap();
+                    count_session(&mut lease.session, Some(2), 1);
+                    pool.check_in(lease);
+                }
+                let fresh = engine.session(&db, &queries[0]).unwrap();
+                assert_eq!(fresh.separation_cut(), 1, "⊥0 is separable before");
+                let fact = vec![Value::constant(1), Value::constant(2)];
+                db.add_fact("R", fact.clone()).unwrap();
+                removable.push(("R", fact));
+                let fresh = engine.session(&db, &queries[0]).unwrap();
+                assert_eq!(fresh.separation_cut(), 2, "and no longer after");
+            }
             _ => {
                 for _ in 0..rng.random_range(0usize..=3) {
                     if !removable.is_empty() && rng.random_bool(0.4) {
@@ -123,15 +145,23 @@ fn patched_sessions_are_byte_identical_to_fresh_builds() {
         let qi = rng.random_range(0..queries.len());
         let q = &queries[qi];
         let mut lease = pool.check_out(&db, q).unwrap();
-        match rng.random_range(0u32..3) {
+        match rng.random_range(0u32..4) {
             // Count: a patched session must count what a fresh one does.
             0 => {
                 let fresh = engine.session(&db, q).unwrap().count();
                 assert_eq!(lease.session.count(), fresh, "round {round} query {qi}");
             }
+            // Distinct completions: `count_session` on the patched
+            // lease must count what a fresh build does.
+            1 => {
+                let budget = 1 + rng.random_range(0usize..4);
+                let fresh = count_completions_budgeted(&db, q, budget, 1).unwrap();
+                let served = count_session(&mut lease.session, Some(budget), 1);
+                assert_eq!(served.count, fresh.count, "round {round} query {qi}");
+            }
             // First page: keys and the encoded resume cursor must match
             // a fresh session's byte-for-byte.
-            1 => {
+            2 => {
                 let page_size = 1 + rng.random_range(0usize..4);
                 let cursor = Cursor::start();
                 let (want_keys, want_cursor) = fresh_page(&db, q, &cursor, page_size);

@@ -12,21 +12,16 @@
 //! ([`incdb_core::engine::BacktrackingEngine::visit_completions`], which
 //! reuses the full incremental-residual pruning stack):
 //!
-//! * **Sharded distinct counting** ([`shard`]). The 64-bit fingerprint hash
-//!   space ([`incdb_data::fingerprint_hash`]) is partitioned into
-//!   [`incdb_data::HashRange`]s; each shard re-walks the search counting
-//!   only the fingerprints in its range, and the disjoint shard sizes are
-//!   summed. Fixed partitions ([`count_completions_sharded`]) give `K`
-//!   passes at `≈ 1/K` memory; the budgeted driver
-//!   ([`count_completions_budgeted`]) starts unsharded and adaptively
-//!   splits exactly the hash ranges that overflow the budget, with shards
-//!   scheduled on the engine's work-stealing
-//!   [`TaskQueue`](incdb_core::engine::TaskQueue). Each worker drives all
-//!   its walks on **one persistent
-//!   [`SearchSession`](incdb_core::session::SearchSession)** — consecutive
-//!   ranges cost a rewind, not a grounding rebuild plus a residual-state
-//!   recompilation (pinned by [`ShardedCount::sessions_built`] /
-//!   [`ShardedCount::walks_reused`]).
+//! * **Budgeted distinct counting** ([`shard`]). The 64-bit fingerprint
+//!   hash space ([`incdb_data::fingerprint_hash`]) is partitioned into
+//!   [`incdb_data::HashRange`]s, and a walk keeps only the fingerprints of
+//!   the ranges it serves; the disjoint range counts are summed. The one
+//!   counter, [`count_session`], runs on a caller's
+//!   [`SearchSession`](incdb_core::session::SearchSession): it starts
+//!   with the full range and, when a walk's resident set would exceed the
+//!   budget, evicts the fattest range to a follow-up walk, so only the
+//!   hash ranges that overflow are ever split.
+//!   [`count_completions_budgeted`] builds a session and runs it.
 //! * **Resumable canonical-order enumeration** ([`stream`]). A
 //!   [`CompletionStream`] yields distinct completions in the canonical
 //!   fingerprint-lexicographic order, one `page_size`-bounded selection
@@ -73,6 +68,6 @@ pub mod solver;
 pub mod stream;
 
 pub use cursor::{Cursor, CursorDecodeError};
-pub use shard::{count_completions_budgeted, count_completions_sharded, ShardedCount};
+pub use shard::{count_completions_budgeted, count_session, ShardedCount};
 pub use solver::StreamOptions;
 pub use stream::{all_completions_stream, page_from_session, CompletionStream};

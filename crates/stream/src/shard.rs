@@ -1,6 +1,6 @@
-//! Hash-range-sharded distinct-completion counting with bounded resident
-//! memory — now at **one search walk per batch of ranges**, not one per
-//! range.
+//! The distinct-completion counter: one single-walk, hash-range-sharded
+//! counter with bounded resident memory, run on a caller's
+//! [`SearchSession`].
 //!
 //! The engine's in-memory distinct counter
 //! ([`CountingEngine::count_completions`](incdb_core::engine::CountingEngine::count_completions))
@@ -14,19 +14,16 @@
 //! walk's shared budget instead of the whole fingerprint set.
 //!
 //! Three mechanisms keep the memory bound from costing a full re-walk per
-//! range, which is what the previous one-range-per-walk driver paid:
+//! range:
 //!
 //! * **Single-walk multi-range counting** (`MultiRangeSink`): one search
 //!   walk carries a whole sorted batch of ranges, bucketing every
 //!   fingerprint into its range by binary search ([`HashRange::find`]) in
-//!   `O(log ranges)`. A `K`-range partition costs `min(threads, K)` walks,
-//!   not `K`.
+//!   `O(log ranges)`.
 //! * **Eviction instead of restart**: when a budgeted walk's resident set
 //!   would exceed the budget, the walk **evicts the fattest range's set**
 //!   and defers that range to a follow-up walk — the walk itself continues
-//!   and finishes every other range. The old driver aborted the whole walk,
-//!   split the range and restarted from scratch, wasting the work done on
-//!   the still-countable part of the space.
+//!   and finishes every other range.
 //! * **Closed-form class counting**: the sink counts at the session's
 //!   [separation cut](SearchSession::separation_cut) instead of at leaves.
 //!   Completions sharing a *dirty part* (the resolved facts that could
@@ -34,40 +31,25 @@
 //!   memoised dirty-part fingerprint plus a closed-form subtree count
 //!   replaces one resident fingerprint **per completion**. On instances
 //!   with no separable nulls the cut sits at the leaves and the sink
-//!   degrades to exactly the old per-completion behaviour.
+//!   degrades to per-completion counting.
 //!
-//! Two entry points expose the trade-off:
-//!
-//! * [`count_completions_sharded`] — a fixed partition into `K` ranges,
-//!   chunked into `min(threads, K)` contiguous batches: one walk per
-//!   worker, expected resident set `≈ total/K` per range.
-//! * [`count_completions_budgeted`] — an explicit **memory budget**
-//!   (maximum resident fingerprints per walk, shared across the walk's
-//!   batch): the driver starts with the full range (one pass, no overhead
-//!   when the instance fits) and refines by evicting overweight ranges —
-//!   deferred ranges are re-queued **as one sorted batch**, so follow-up
-//!   walks stay multi-range and the eviction machinery keeps paying off.
-//!
-//! Batches are scheduled on the engine's work-stealing [`TaskQueue`]:
-//! workers pop batches, and deferred ranges are donated back to the queue,
-//! so idle workers immediately pick up the refined remainder of a dense
-//! region.
-//!
-//! Consecutive walks of one worker run on a persistent [`SearchSession`]:
-//! the grounding, the compiled residual state and the DFS order are built
-//! **once per worker** and rewound — not rebuilt — for every subsequent
-//! batch. The [`ShardedCount::sessions_built`] /
-//! [`ShardedCount::walks_reused`] counters pin the reuse actually
-//! happening.
+//! [`count_session`] is the counter: it starts with the full range (one
+//! pass, no overhead when the instance fits the budget) and refines by
+//! evicting overweight ranges — deferred ranges are re-queued **as one
+//! sorted batch**, so follow-up walks stay multi-range. With one thread it
+//! walks the caller's session in place; with more, batches are scheduled on
+//! the engine's work-stealing [`TaskQueue`] and each worker forks the
+//! session once, rewinding — not rebuilding — it for every later batch.
+//! [`count_completions_budgeted`] builds a session and runs it.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_core::engine::{CompletionVisitor, TaskQueue};
-use incdb_core::session::{ClassAction, SearchSession};
-use incdb_data::{CompletionKey, DataError, Grounding, HashRange, IncompleteDatabase, KeyPlan};
+use incdb_core::session::{ClassAction, ClassHasher, SearchSession};
+use incdb_data::{CompletionKey, DataError, Grounding, HashRange, IncompleteDatabase};
 use incdb_query::BooleanQuery;
 
 /// The result of a sharded distinct-completion count, with the memory and
@@ -79,21 +61,18 @@ pub struct ShardedCount {
     pub count: BigNat,
     /// The high-water mark of resident fingerprints in any single walk —
     /// the sum over the walk's whole batch, since the budget is shared.
-    /// Under [`count_completions_budgeted`] this never exceeds the budget
-    /// (each worker runs one walk at a time, so with `threads` workers the
-    /// process-wide bound is `budget × threads`), except in the
-    /// astronomically unlikely unsplittable-hash-point case documented
-    /// there.
+    /// Under a budget this never exceeds it (each worker runs one walk at
+    /// a time, so with `threads` workers the process-wide bound is
+    /// `budget × threads`), except in the astronomically unlikely
+    /// unsplittable-hash-point case documented on [`count_session`].
     pub peak_resident_fingerprints: usize,
-    /// Search-tree walks performed. Each walk serves a whole batch of
-    /// ranges, so this is `min(threads, ranges)` for a fixed partition and
-    /// `1 + follow-ups` under a budget — the pass count is the price paid
-    /// for the memory bound.
+    /// Search-tree walks performed: `1 + follow-ups` — the pass count is
+    /// the price paid for the memory bound.
     pub passes: usize,
     /// Hash ranges whose fingerprints were actually counted (evicted
     /// attempts excluded — a range deferred `n` times before completing
-    /// still counts once). Under a budget this is the size of the final
-    /// refined partition; `1` means the instance fit in a single range.
+    /// still counts once): the size of the final refined partition; `1`
+    /// means the instance fit in a single range.
     pub counted_shards: usize,
     /// Ranges carried by walks, summed over all walks and including
     /// evicted attempts: `ranges_walked / passes` is the mean batch width,
@@ -103,15 +82,12 @@ pub struct ShardedCount {
     /// evictions plus sole-range splits. Zero whenever the budget was
     /// never hit.
     pub evictions: usize,
-    /// How many worker walk contexts were created: each is a
-    /// [`SearchSession::fork`] off the call's one template session (the
-    /// single grounding build + residual-state compilation of the whole
-    /// call). At most one per worker that processed a batch (workers that
-    /// never got a task fork nothing).
+    /// Walk contexts used: `1` when one worker walks the caller's session
+    /// in place, otherwise one [`SearchSession::fork`] per worker that
+    /// processed a batch (workers that never got a task fork nothing).
     pub sessions_built: usize,
-    /// Walks served by rewinding an already-built session instead of
-    /// rebuilding: always `passes - sessions_built`. The reuse the session
-    /// layer exists for.
+    /// Walks served by rewinding an already-used context instead of
+    /// building one: always `passes - sessions_built`.
     pub walks_reused: usize,
 }
 
@@ -119,8 +95,12 @@ pub struct ShardedCount {
 struct ActiveRange {
     range: HashRange,
     /// Memoised class fingerprints (dirty-part keys; full completion keys
-    /// when nothing is separable) whose hash falls in `range`.
-    keys: HashSet<CompletionKey>,
+    /// when nothing is separable) whose hash falls in `range`, bucketed by
+    /// that hash — the sink already computed it to find the range, so a
+    /// lookup never hashes the key again. Keys in a bucket compare exactly.
+    keys: HashMap<u64, Vec<CompletionKey>>,
+    /// Keys held in `keys`.
+    resident: usize,
     /// Distinct completions credited to this range so far.
     acc: NatAccumulator,
     /// Discarded mid-walk: the range was deferred to a follow-up walk and
@@ -142,16 +122,15 @@ struct ActiveRange {
 /// budget all by itself is split and both halves deferred; an unsplittable
 /// single hash point is counted unbounded. The walk only stops early when
 /// every range of the batch has been evicted.
-struct MultiRangeSink<'a> {
+struct MultiRangeSink {
     /// The batch's spans, sorted and disjoint — the [`HashRange::find`]
     /// index, kept parallel to `ranges`.
     spans: Vec<HashRange>,
     ranges: Vec<ActiveRange>,
-    /// Precomputed fingerprint skeleton of the class facts
-    /// ([`SearchSession::class_facts`], everything that is not provably
-    /// separable): the ground members pre-sorted once, so each class node
-    /// pays a merge instead of a full sort.
-    plan: &'a KeyPlan,
+    /// Fingerprints class nodes through the session's cached class
+    /// [`KeyPlan`](incdb_data::KeyPlan): the ground members pre-sorted
+    /// once, so each class node pays a merge instead of a full sort.
+    hasher: ClassHasher,
     /// Maximum resident keys across the whole batch; `None` is unbounded.
     budget: Option<usize>,
     /// Current resident keys summed over live (non-evicted) ranges.
@@ -165,19 +144,20 @@ struct MultiRangeSink<'a> {
     /// Ranges this walk gave up on, to be re-queued as one sorted batch.
     deferred: Vec<HashRange>,
     scratch: CompletionKey,
-    /// Range index of the key inserted by the last `class_node`, so
-    /// `class_counted` can credit — or, for zero counts, remove — it.
-    pending: Option<usize>,
+    /// Range index and hash of the key inserted by the last `class_node`,
+    /// so `class_counted` can credit — or, for zero counts, remove — it.
+    pending: Option<(usize, u64)>,
 }
 
-impl<'a> MultiRangeSink<'a> {
-    fn new(batch: Vec<HashRange>, budget: Option<usize>, plan: &'a KeyPlan) -> Self {
+impl MultiRangeSink {
+    fn new(batch: Vec<HashRange>, budget: Option<usize>, hasher: ClassHasher) -> Self {
         debug_assert!(batch.windows(2).all(|w| w[0].last < w[1].start));
         let ranges: Vec<ActiveRange> = batch
             .iter()
             .map(|&range| ActiveRange {
                 range,
-                keys: HashSet::new(),
+                keys: HashMap::new(),
+                resident: 0,
                 acc: NatAccumulator::new(),
                 evicted: false,
                 unbounded: false,
@@ -187,7 +167,7 @@ impl<'a> MultiRangeSink<'a> {
             spans: batch,
             live: ranges.len(),
             ranges,
-            plan,
+            hasher,
             budget,
             resident: 0,
             peak: 0,
@@ -208,7 +188,7 @@ impl<'a> MultiRangeSink<'a> {
             .iter()
             .enumerate()
             .filter(|(_, r)| !r.evicted && !r.unbounded)
-            .max_by_key(|(j, r)| (r.keys.len(), usize::MAX - j))
+            .max_by_key(|(j, r)| (r.resident, usize::MAX - j))
             .map(|(j, _)| j)
             .expect("the bounded live range `current` is a candidate");
         if victim == current && self.live == 1 {
@@ -225,7 +205,7 @@ impl<'a> MultiRangeSink<'a> {
                 None => {
                     // A single hash point denser than the budget: count it
                     // in full rather than splitting forever (see the docs
-                    // of `count_completions_budgeted`).
+                    // of `count_session`).
                     r.unbounded = true;
                     true
                 }
@@ -242,8 +222,9 @@ impl<'a> MultiRangeSink<'a> {
     fn evict(&mut self, i: usize) {
         let r = &mut self.ranges[i];
         debug_assert!(!r.evicted);
-        self.resident -= r.keys.len();
-        r.keys = HashSet::new();
+        self.resident -= r.resident;
+        r.keys = HashMap::new();
+        r.resident = 0;
         r.acc = NatAccumulator::new();
         r.evicted = true;
         self.live -= 1;
@@ -251,19 +232,21 @@ impl<'a> MultiRangeSink<'a> {
     }
 }
 
-impl CompletionVisitor for MultiRangeSink<'_> {
+impl CompletionVisitor for MultiRangeSink {
     fn leaf(&mut self, _g: &Grounding) -> bool {
         unreachable!("the class dispatch covers every satisfying leaf");
     }
 
     fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-        let hash = g
-            .partial_hash_with(self.plan, &mut self.scratch)
+        let hash = self
+            .hasher
+            .hash(g, &mut self.scratch)
             .expect("every non-separable null is bound at the cut");
         let Some(i) = HashRange::find(&self.spans, hash) else {
             return ClassAction::Skip;
         };
-        if self.ranges[i].evicted || self.ranges[i].keys.contains(&self.scratch) {
+        let r = &self.ranges[i];
+        if r.evicted || r.keys.get(&hash).is_some_and(|b| b.contains(&self.scratch)) {
             return ClassAction::Skip;
         }
         if !self.ranges[i].unbounded && self.budget.is_some_and(|b| self.resident >= b) {
@@ -279,65 +262,56 @@ impl CompletionVisitor for MultiRangeSink<'_> {
                 };
             }
         }
-        self.ranges[i].keys.insert(self.scratch.clone());
+        let r = &mut self.ranges[i];
+        r.keys.entry(hash).or_default().push(self.scratch.clone());
+        r.resident += 1;
         self.resident += 1;
-        self.pending = Some(i);
+        self.pending = Some((i, hash));
         ClassAction::Count
     }
 
     fn class_counted(&mut self, distinct: &BigNat) -> bool {
-        let i = self.pending.take().expect("a count follows an insert");
+        let (i, hash) = self.pending.take().expect("a count follows an insert");
+        let r = &mut self.ranges[i];
         if distinct.is_zero() {
-            // No satisfying completion in the class: un-memoise it, so
-            // only satisfying classes occupy the budget. Re-deriving a
-            // zero count on a later encounter is sound.
-            self.ranges[i].keys.remove(&self.scratch);
+            // No satisfying completion in the class: un-memoise it (it is
+            // the last key pushed to its bucket), so only satisfying
+            // classes occupy the budget. Re-deriving a zero count on a
+            // later encounter is sound.
+            let bucket = r.keys.get_mut(&hash).expect("inserted by class_node");
+            bucket.pop();
+            if bucket.is_empty() {
+                r.keys.remove(&hash);
+            }
+            r.resident -= 1;
             self.resident -= 1;
         } else {
-            self.ranges[i].acc.add_big(distinct);
+            r.acc.add_big(distinct);
             self.peak = self.peak.max(self.resident);
         }
         true
     }
 }
 
-/// Counts the distinct completions of `db` satisfying `q` over a fixed
-/// partition of the fingerprint hash space into `shards` ranges, chunked
-/// into `min(threads, shards)` contiguous batches — **one search walk per
-/// batch**, with every fingerprint bucketed into its range in
-/// `O(log shards)`.
-///
-/// The merged count equals the unsharded engine's for **every** `shards ≥
-/// 1` (ranges tile the space and fingerprints are deduplicated per range),
-/// while the expected resident set per range shrinks to `≈ total/shards`.
-/// Note the walk-level resident set is the sum over its batch; use
-/// [`count_completions_budgeted`] for a hard bound.
+/// Counts the distinct completions of `db` satisfying `q` while keeping
+/// each walk's resident fingerprint set within `budget` (at least 1): a
+/// fresh [`SearchSession`] run through [`count_session`].
 ///
 /// Returns an error if some null of the table has no domain.
-pub fn count_completions_sharded<Q: BooleanQuery + Sync + ?Sized>(
+pub fn count_completions_budgeted<Q: BooleanQuery + Sync + ?Sized>(
     db: &IncompleteDatabase,
     q: &Q,
-    shards: usize,
+    budget: usize,
     threads: usize,
 ) -> Result<ShardedCount, DataError> {
-    let shards = shards.max(1);
-    let ranges = HashRange::partition(shards);
-    let batches = threads.clamp(1, shards);
-    let initial: Vec<Vec<HashRange>> = (0..batches)
-        .map(|b| {
-            // Contiguous near-equal chunks, the first `shards % batches`
-            // of them one range wider.
-            let lo = (b * shards) / batches;
-            let hi = ((b + 1) * shards) / batches;
-            ranges[lo..hi].to_vec()
-        })
-        .collect();
-    run_shards(db, q, initial, None, threads)
+    let mut session = SearchSession::new(db, q)?;
+    Ok(count_session(&mut session, Some(budget), threads))
 }
 
-/// Counts the distinct completions of `db` satisfying `q` while keeping
-/// each walk's resident fingerprint set within `budget` (at least 1),
-/// evicting overweight hash ranges to follow-up walks.
+/// Counts the distinct completions of `session`'s instance satisfying its
+/// query, keeping each walk's resident fingerprint set within `budget`
+/// (at least 1; `None` is unbounded) by evicting overweight hash ranges to
+/// follow-up walks.
 ///
 /// The first walk covers the full range, so instances whose fingerprint
 /// set fits the budget pay **no** sharding overhead (a single pass,
@@ -350,118 +324,96 @@ pub fn count_completions_sharded<Q: BooleanQuery + Sync + ?Sized>(
 /// than failing — the only case where `peak_resident_fingerprints` may
 /// exceed the budget.
 ///
-/// Returns an error if some null of the table has no domain.
-pub fn count_completions_budgeted<Q: BooleanQuery + Sync + ?Sized>(
-    db: &IncompleteDatabase,
-    q: &Q,
-    budget: usize,
-    threads: usize,
-) -> Result<ShardedCount, DataError> {
-    run_shards(
-        db,
-        q,
-        vec![vec![HashRange::full()]],
-        Some(budget.max(1)),
-        threads,
-    )
-}
-
-/// The shared driver: walks every batch of the queue (deferring evicted
-/// ranges as new batches when a budget is set) and merges the disjoint
-/// per-range counts.
-fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
-    db: &IncompleteDatabase,
-    q: &Q,
-    initial: Vec<Vec<HashRange>>,
+/// With `threads ≤ 1` every walk runs on `session` itself; otherwise each
+/// worker forks it on its first batch. Either way the class
+/// [`KeyPlan`](incdb_data::KeyPlan) built by the first class node stays
+/// cached on `session` for the next call.
+pub fn count_session<Q: BooleanQuery + Sync + ?Sized>(
+    session: &mut SearchSession<'_, Q>,
     budget: Option<usize>,
     threads: usize,
-) -> Result<ShardedCount, DataError> {
-    // The one-time setup for the whole call: building the template session
-    // both validates the instance (missing-domain errors surface here, so
-    // worker walks cannot fail and the queue protocol — every popped task
-    // is finished — stays trivially correct) and compiles the query's
-    // residual state and separability plan exactly once. Workers fork the
-    // template (cloning the compiled state, never re-deriving it) the
-    // first time they pop a batch.
-    let template = SearchSession::new(db, q)?;
-    // One sort of the ground class facts for the whole call; fact indices
-    // are template-level, so every forked worker session shares the plan.
-    let class_plan = template
-        .grounding()
-        .partial_key_plan(template.class_facts());
-    let queue = TaskQueue::new(initial);
+) -> ShardedCount {
+    let budget = budget.map(|b| b.max(1));
+    let hasher = session.class_hasher();
+    let queue = TaskQueue::new(vec![vec![HashRange::full()]]);
     let passes = AtomicUsize::new(0);
     let peak = AtomicUsize::new(0);
     let counted = AtomicUsize::new(0);
     let ranges_walked = AtomicUsize::new(0);
     let evictions = AtomicUsize::new(0);
-    let sessions_built = AtomicUsize::new(0);
-    let walks_reused = AtomicUsize::new(0);
-    let threads = threads.max(1);
 
-    let worker = || {
-        let mut acc = NatAccumulator::new();
-        // The worker's persistent walk context: forked off the template on
-        // its first batch, rewound — not rebuilt — for every batch after
-        // it. Workers that never pop a task never pay the fork.
-        let mut session: Option<SearchSession<'_, Q>> = None;
-        while let Some(batch) = queue.next_task() {
-            if session.is_none() {
-                sessions_built.fetch_add(1, Ordering::Relaxed);
-                session = Some(template.fork());
-            } else {
-                walks_reused.fetch_add(1, Ordering::Relaxed);
+    // Walks one popped batch on `session`, returning its counted total.
+    let walk = |session: &mut SearchSession<'_, Q>, batch: Vec<HashRange>| {
+        passes.fetch_add(1, Ordering::Relaxed);
+        ranges_walked.fetch_add(batch.len(), Ordering::Relaxed);
+        let mut sink = MultiRangeSink::new(batch, budget, hasher.clone());
+        let completed = session.visit_completions(&mut sink);
+        // The walk only stops early once every range has been evicted,
+        // so every live range's count is complete either way.
+        debug_assert!(completed || sink.live == 0);
+        peak.fetch_max(sink.peak, Ordering::Relaxed);
+        evictions.fetch_add(sink.evictions, Ordering::Relaxed);
+        let mut total = NatAccumulator::new();
+        for r in sink.ranges {
+            if !r.evicted {
+                total.add_big(&r.acc.into_total());
+                counted.fetch_add(1, Ordering::Relaxed);
             }
-            let session = session.as_mut().expect("session built above");
-            passes.fetch_add(1, Ordering::Relaxed);
-            ranges_walked.fetch_add(batch.len(), Ordering::Relaxed);
-            let mut sink = MultiRangeSink::new(batch, budget, &class_plan);
-            let completed = session.visit_completions(&mut sink);
-            // The walk only stops early once every range has been evicted,
-            // so every live range's count is complete either way.
-            debug_assert!(completed || sink.live == 0);
-            peak.fetch_max(sink.peak, Ordering::Relaxed);
-            evictions.fetch_add(sink.evictions, Ordering::Relaxed);
-            for r in sink.ranges {
-                if !r.evicted {
-                    acc.add_big(&r.acc.into_total());
-                    counted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if !sink.deferred.is_empty() {
-                // One sorted batch, not one task per range: follow-up
-                // walks stay multi-range, so a dense region is re-counted
-                // with single-walk amortisation too.
-                sink.deferred.sort_unstable_by_key(|r| r.start);
-                queue.donate([sink.deferred]);
-            }
-            queue.finish_task();
         }
-        acc
+        if !sink.deferred.is_empty() {
+            // One sorted batch, not one task per range: follow-up walks
+            // stay multi-range, so a dense region is re-counted with
+            // single-walk amortisation too.
+            sink.deferred.sort_unstable_by_key(|r| r.start);
+            queue.donate([sink.deferred]);
+        }
+        queue.finish_task();
+        total.into_total()
     };
 
-    let totals: Vec<NatAccumulator> = if threads == 1 {
-        vec![worker()]
+    let (count, sessions_built) = if threads <= 1 {
+        let mut count = BigNat::zero();
+        while let Some(batch) = queue.next_task() {
+            count += walk(session, batch);
+        }
+        (count, 1)
     } else {
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        let template = &*session;
+        let totals: Vec<(BigNat, bool)> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        // Forked on the worker's first batch, rewound for
+                        // every batch after it.
+                        let mut own: Option<SearchSession<'_, Q>> = None;
+                        let mut count = BigNat::zero();
+                        while let Some(batch) = queue.next_task() {
+                            count += walk(own.get_or_insert_with(|| template.fork()), batch);
+                        }
+                        (count, own.is_some())
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard worker panicked"))
                 .collect()
-        })
+        });
+        let forks = totals.iter().filter(|(_, forked)| *forked).count();
+        (totals.into_iter().map(|(count, _)| count).sum(), forks)
     };
 
-    Ok(ShardedCount {
-        count: totals.into_iter().map(NatAccumulator::into_total).sum(),
-        peak_resident_fingerprints: peak.load(Ordering::Relaxed),
-        passes: passes.load(Ordering::Relaxed),
-        counted_shards: counted.load(Ordering::Relaxed),
-        ranges_walked: ranges_walked.load(Ordering::Relaxed),
-        evictions: evictions.load(Ordering::Relaxed),
-        sessions_built: sessions_built.load(Ordering::Relaxed),
-        walks_reused: walks_reused.load(Ordering::Relaxed),
-    })
+    let passes = passes.into_inner();
+    ShardedCount {
+        count,
+        peak_resident_fingerprints: peak.into_inner(),
+        passes,
+        counted_shards: counted.into_inner(),
+        ranges_walked: ranges_walked.into_inner(),
+        evictions: evictions.into_inner(),
+        sessions_built,
+        walks_reused: passes - sessions_built,
+    }
 }
 
 #[cfg(test)]
@@ -508,51 +460,55 @@ mod tests {
     }
 
     #[test]
-    fn fixed_partitions_agree_with_the_engine() {
+    fn session_counts_agree_with_the_engine() {
         let db = example_2_2();
         let q: Bcq = "S(x,x)".parse().unwrap();
         let expected = BacktrackingEngine::sequential()
             .count_completions(&db, &q)
             .unwrap();
-        for shards in [1usize, 2, 3, 8] {
+        let mut session = SearchSession::new(&db, &q).unwrap();
+        for budget in [None, Some(1), Some(2), Some(64)] {
             for threads in [1usize, 3] {
-                let sharded = count_completions_sharded(&db, &q, shards, threads).unwrap();
+                let result = count_session(&mut session, budget, threads);
                 assert_eq!(
-                    sharded.count, expected,
-                    "{shards} shards, {threads} threads"
+                    result.count, expected,
+                    "{budget:?} budget, {threads} threads"
                 );
-                // One walk per batch, not per range.
-                assert_eq!(sharded.passes, threads.min(shards));
-                assert_eq!(sharded.counted_shards, shards);
-                assert_eq!(sharded.ranges_walked, shards);
-                assert_eq!(sharded.evictions, 0, "no budget, no evictions");
-                // Session reuse: at most one setup per worker that saw a
-                // task, and every other walk rode a rewound session.
-                assert!(sharded.sessions_built <= threads.min(shards));
-                assert_eq!(
-                    sharded.walks_reused,
-                    sharded.passes - sharded.sessions_built
-                );
+                assert_eq!(result.walks_reused, result.passes - result.sessions_built);
                 if threads == 1 {
-                    assert_eq!((sharded.sessions_built, sharded.passes), (1, 1));
+                    // Walked in place: the caller's session is the one
+                    // walk context.
+                    assert_eq!(result.sessions_built, 1);
+                } else {
+                    assert!(result.sessions_built <= threads);
+                }
+                if budget.is_none() {
+                    assert_eq!((result.passes, result.evictions), (1, 0));
                 }
             }
         }
     }
 
     #[test]
-    fn single_walk_carries_the_whole_partition() {
-        // 16 ranges, 1 thread: the partition must be served by ONE walk.
+    fn deferred_ranges_share_follow_up_walks() {
+        // 5 completions against a budget of 1: evicted ranges are
+        // re-queued as sorted batches, so walks carry several ranges.
         let db = example_2_2();
-        let q = Tautology;
         let expected = BacktrackingEngine::sequential()
             .count_all_completions(&db)
             .unwrap();
-        let sharded = count_completions_sharded(&db, &q, 16, 1).unwrap();
-        assert_eq!(sharded.count, expected);
-        assert_eq!(sharded.passes, 1, "one walk for all 16 ranges");
-        assert_eq!(sharded.ranges_walked, 16);
-        assert_eq!(sharded.counted_shards, 16);
+        let result = count_completions_budgeted(&db, &Tautology, 1, 1).unwrap();
+        assert_eq!(result.count, expected);
+        assert!(
+            result.counted_shards >= 5,
+            "at most one completion per range"
+        );
+        assert!(
+            result.ranges_walked > result.passes,
+            "{} ranges over {} walks",
+            result.ranges_walked,
+            result.passes
+        );
     }
 
     #[test]
@@ -563,13 +519,12 @@ mod tests {
         let expected = BacktrackingEngine::sequential()
             .count_all_completions(&db)
             .unwrap();
-        for shards in [1usize, 4, 16] {
-            let sharded = count_completions_sharded(&db, &q, shards, 2).unwrap();
-            assert_eq!(sharded.count, expected, "{shards} shards");
+        for threads in [1usize, 2] {
+            let unbounded = count_session(&mut SearchSession::new(&db, &q).unwrap(), None, threads);
+            assert_eq!(unbounded.count, expected, "{threads} threads");
         }
-        // The budgeted path too — and with 10 dirty classes a budget of 4
-        // must evict, yet the resident set stays classes-not-completions
-        // small.
+        // With 10 dirty classes a budget of 4 must evict, yet the resident
+        // set stays classes-not-completions small.
         let result = count_completions_budgeted(&db, &q, 4, 1).unwrap();
         assert_eq!(result.count, expected);
         assert!(result.peak_resident_fingerprints <= 4);
@@ -632,17 +587,16 @@ mod tests {
         let mut db = IncompleteDatabase::new_non_uniform();
         db.add_fact("R", vec![Value::null(0)]).unwrap();
         let q: Bcq = "R(x)".parse().unwrap();
-        assert!(count_completions_sharded(&db, &q, 4, 2).is_err());
         assert!(count_completions_budgeted(&db, &q, 8, 2).is_err());
     }
 
     #[test]
     fn empty_and_ground_instances() {
-        // No nulls: one completion, whatever the sharding.
+        // No nulls: one completion, whatever the budget.
         let mut db = IncompleteDatabase::new_non_uniform();
         db.add_fact("R", vec![Value::constant(5)]).unwrap();
         let q: Bcq = "R(x)".parse().unwrap();
-        let sharded = count_completions_sharded(&db, &q, 4, 2).unwrap();
+        let sharded = count_completions_budgeted(&db, &q, 1, 2).unwrap();
         assert_eq!(sharded.count, BigNat::one());
         // An empty domain admits no completion at all.
         let mut empty = IncompleteDatabase::new_uniform(Vec::<u64>::new());

@@ -1,25 +1,21 @@
-//! Property suite for the streaming completion subsystem, pinning the
-//! three contracts the ISSUE demands plus the acceptance criterion:
+//! Property suite for the streaming completion subsystem, pinning its
+//! contracts:
 //!
-//! * **Shard-merge exactness** — for random instances, queries and shard
-//!   counts `K` (and random worker counts), the merged sharded count
-//!   equals the unsharded engine's count.
 //! * **Pause/resume fidelity** — cutting a [`CompletionStream`] at any
 //!   point and resuming from its (wire-round-tripped) cursor reproduces
 //!   exactly the canonical sequence, whatever the page sizes.
 //! * **Canonical order totality and stability** — the streamed order is
 //!   strictly increasing in the canonical fingerprint order (hence total
 //!   and duplicate-free) and identical across independent runs.
-//! * **Budgeted counting** — an instance whose full fingerprint set
-//!   exceeds the budget still counts exactly, with peak resident
-//!   fingerprints within the budget.
+//! * **Budgeted counting** — for random instances, queries, budgets and
+//!   worker counts, the budgeted count equals the unsharded engine's, with
+//!   peak resident fingerprints within the budget, also on an instance
+//!   whose full fingerprint set exceeds it.
 
 use incdb_core::engine::{BacktrackingEngine, CountingEngine, Tautology};
 use incdb_data::{IncompleteDatabase, NullId, Value};
 use incdb_query::Bcq;
-use incdb_stream::{
-    count_completions_budgeted, count_completions_sharded, CompletionStream, Cursor,
-};
+use incdb_stream::{count_completions_budgeted, CompletionStream, Cursor};
 use proptest::prelude::*;
 
 const NULL_POOL: u32 = 4;
@@ -66,51 +62,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn sharded_counts_merge_to_the_unsharded_count(
-        facts in proptest::collection::vec((0usize..2, (0usize..7, 0usize..7)), 1..=5),
-        domains in proptest::collection::vec(1usize..8, NULL_POOL as usize..=NULL_POOL as usize),
-        shards in 1usize..12,
-        threads in 1usize..4,
-    ) {
-        let db = build_db(&facts, &domains);
-        for q in queries() {
-            let expected = BacktrackingEngine::sequential()
-                .count_completions(&db, &q)
-                .unwrap();
-            let sharded = count_completions_sharded(&db, &q, shards, threads).unwrap();
-            prop_assert_eq!(
-                &sharded.count, &expected,
-                "query {} with {} shards / {} threads", q, shards, threads
-            );
-            // One walk serves a whole contiguous batch of ranges.
-            prop_assert_eq!(sharded.passes, threads.min(shards));
-            prop_assert_eq!(sharded.ranges_walked, shards);
-            prop_assert_eq!(sharded.evictions, 0);
-        }
-        // The no-filter count shards identically.
-        let expected = BacktrackingEngine::sequential()
-            .count_all_completions(&db)
-            .unwrap();
-        let sharded = count_completions_sharded(&db, &Tautology, shards, threads).unwrap();
-        prop_assert_eq!(&sharded.count, &expected);
-    }
-
-    #[test]
     fn budgeted_counts_stay_exact_within_budget(
         facts in proptest::collection::vec((0usize..2, (0usize..7, 0usize..7)), 1..=5),
         domains in proptest::collection::vec(1usize..8, NULL_POOL as usize..=NULL_POOL as usize),
         budget in 1usize..6,
+        threads in 1usize..4,
     ) {
         let db = build_db(&facts, &domains);
         let expected = BacktrackingEngine::sequential()
             .count_all_completions(&db)
             .unwrap();
-        let result = count_completions_budgeted(&db, &Tautology, budget, 1).unwrap();
+        let result = count_completions_budgeted(&db, &Tautology, budget, threads).unwrap();
         prop_assert_eq!(&result.count, &expected);
         prop_assert!(
             result.peak_resident_fingerprints <= budget,
             "peak {} exceeds budget {}", result.peak_resident_fingerprints, budget
         );
+        for q in queries() {
+            let expected = BacktrackingEngine::sequential()
+                .count_completions(&db, &q)
+                .unwrap();
+            let result = count_completions_budgeted(&db, &q, budget, threads).unwrap();
+            prop_assert_eq!(
+                &result.count, &expected,
+                "query {} with budget {} / {} threads", q, budget, threads
+            );
+            prop_assert!(result.peak_resident_fingerprints <= budget);
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use incdb::core::engine::Tautology;
 use incdb::prelude::*;
-use incdb::stream::count_completions_sharded;
 
 fn main() {
     // Shipment(route, day): three routes with lost day fields; every lost
@@ -40,9 +39,11 @@ fn main() {
         outcome.count, outcome.passes, outcome.counted_shards, outcome.peak_resident_fingerprints
     );
 
-    // The same count through a fixed 4-shard partition (one walk each).
-    let fixed = count_completions_sharded(&db, &Tautology, 4, 2).unwrap();
-    assert_eq!(fixed.count, outcome.count);
+    // The same count on two workers under a tighter budget: more walks,
+    // never a different answer.
+    let tight = count_completions_budgeted(&db, &Tautology, 2, 2).unwrap();
+    assert_eq!(tight.count, outcome.count);
+    assert!(tight.peak_resident_fingerprints <= 2);
 
     // The budget knob also sits behind the solver façade: closed forms
     // keep priority, and the reported method says whether sharding bound.
